@@ -43,8 +43,11 @@ fn bench_stages(c: &mut Criterion) {
     }
     group.finish();
 
+    // Plus the explore engine's largest W/D input: the 40-node graph
+    // unfolded at f = 4 (160 nodes).
+    let unfolded = (160, cred_unfold::unfold(&gs[2].1, 4).graph);
     let mut group = c.benchmark_group("wd_matrices");
-    for (n, g) in &gs {
+    for (n, g) in gs.iter().chain([&unfolded]) {
         group.bench_with_input(BenchmarkId::from_parameter(n), g, |b, g| {
             b.iter(|| black_box(algo::WdMatrices::compute(black_box(g))));
         });

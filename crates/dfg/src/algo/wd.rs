@@ -12,22 +12,41 @@
 //! are simultaneously satisfiable, and the candidate optimal periods are
 //! exactly the entries of `D`.
 //!
-//! Computed with Floyd–Warshall over lexicographic pair weights
-//! `(d(e), -t(src))`, the standard reduction from the retiming paper.
+//! Computed with one Floyd–Warshall over a single packed key per pair.
+//! The retiming paper's lexicographic edge weight `(d(e), -t(src))` sums
+//! along a path to `(W, -(path time - t(dst)))`; with
+//! `S = (2 * sum_t + 1).next_power_of_two()` the key
+//! `W * S - (path time - t(dst))` orders exactly like that pair (the time
+//! part of any sum of two path keys spans less than `S`), and keys add
+//! along paths. The loop holds keys in `f64`, with `+inf` for
+//! "unreachable": [`WdMatrices::compute`] first checks that every
+//! candidate sum (two simple-path keys) stays below `2^53`, so every
+//! finite value is an exactly represented integer and the branch-free
+//! `min` over a copied pivot row vectorizes. The result is stored as one
+//! `i64` key matrix; [`WdMatrices::w`] and [`WdMatrices::d`] decode it with
+//! a shift. The activation order ([`WdMatrices::activation_by_d`]) comes
+//! from one packed `u64` per pair, `(sum_t - D, u, v)` in bit fields,
+//! radix-sorted on its `sum_t - D` field.
 
 use crate::Dfg;
 
-const INF: i64 = i64::MAX / 4;
+/// Candidate key sums must stay strictly below this magnitude, so every
+/// finite `f64` key in the loop is an exact integer.
+const EXACT_LIMIT: u128 = 1 << 53;
 
-/// Dense `W`/`D` matrices for all node pairs, stored flat with an `INF`
-/// sentinel (`v` unreachable from `u`); the `Option` accessors translate
-/// the sentinel at the call site.
+/// Stored key of an unreachable pair.
+const UNREACHABLE: i64 = i64::MAX;
+
+/// Dense `W`/`D` matrices for all node pairs, stored as one packed key per
+/// pair (see the module docs); the `Option` accessors decode it.
 #[derive(Debug, Clone)]
 pub struct WdMatrices {
     n: usize,
-    /// Lexicographic shortest-path weight: (delay, -time-of-path-minus-dst).
-    w: Vec<i64>,
-    neg_t: Vec<i64>,
+    /// `W * S - (path time - t(dst))` per pair, [`UNREACHABLE`] if there
+    /// is no path.
+    key: Vec<i64>,
+    /// `log2(S)`.
+    shift: u32,
     times: Vec<i64>,
     /// Every reachable pair as `(D(u, v), u, v)`, sorted by `D` descending
     /// (ties by `(u, v)` ascending). The period-`c` feasibility constraints
@@ -37,61 +56,145 @@ pub struct WdMatrices {
     activation: Vec<(i64, u32, u32)>,
 }
 
+/// Split a finite key into `(W, path time - t(dst))`. The time part lies
+/// in `[0, S)`, so it is the key's negation modulo `S`, and `W` is the key
+/// divided by `S`, rounded up.
+fn split(key: i64, shift: u32) -> (i64, i64) {
+    let time = key.wrapping_neg() & ((1 << shift) - 1);
+    ((key + time) >> shift, time)
+}
+
+/// Bits needed to write `x` (zero for zero).
+fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// Widest digit of the activation sort's radix passes.
+const RADIX_BITS: u32 = 11;
+
+/// One stable counting-sort pass: the words of `src` ordered by their
+/// `width`-bit digit at `shift`, each mapped through `f` into `dst`.
+fn radix_pass<T>(src: &[u64], shift: u32, width: u32, dst: &mut [T], f: impl Fn(u64) -> T) {
+    let digit = |k: u64| (k >> shift) as usize & ((1 << width) - 1);
+    let mut start = vec![0usize; 1 << width];
+    for &k in src {
+        start[digit(k)] += 1;
+    }
+    let mut sum = 0;
+    for s in start.iter_mut() {
+        (*s, sum) = (sum, sum + *s);
+    }
+    for &k in src {
+        let d = digit(k);
+        dst[start[d]] = f(k);
+        start[d] += 1;
+    }
+}
+
 impl WdMatrices {
     /// Compute both matrices in `O(V^3)` (dense Floyd–Warshall).
+    ///
+    /// # Panics
+    /// Panics, before any path is computed, if a sum of two path keys
+    /// could reach `2^53` (then `f64` keys would no longer be exact), and
+    /// after the loop if the graph has a zero-delay cycle (`W`/`D` are
+    /// then undefined). Neither case returns matrices.
     pub fn compute(g: &Dfg) -> Self {
         let n = g.node_count();
-        let mut w = vec![INF; n * n];
-        let mut neg_t = vec![INF; n * n];
-        let at = |i: usize, j: usize| i * n + j;
+        let times: Vec<i64> = g.node_ids().map(|v| g.node(v).time as i64).collect();
+        let sum_t = g.total_time();
+        let scale = (2 * sum_t + 1).next_power_of_two();
+        let shift = scale.trailing_zeros();
+        // Path keys lie in [-sum_t, sum_d * S], so a candidate (the sum of
+        // two of them) has magnitude at most 2 * (sum_d * S + sum_t).
+        let reach = 2 * (g.total_delays() as u128 * scale as u128 + sum_t as u128);
+        assert!(
+            reach < EXACT_LIMIT,
+            "W/D matrices: sums of two path keys of this graph may reach {reach}, \
+             over the exact f64 key limit 2^53 (sum of delays {}, time scale {scale})",
+            g.total_delays()
+        );
+        let node_bits = bits(n.saturating_sub(1) as u64);
+        assert!(
+            bits(sum_t) + 2 * node_bits <= u64::BITS,
+            "W/D matrices: the activation sort key needs {} bits, over 64",
+            bits(sum_t) + 2 * node_bits
+        );
+
+        let mut c = vec![f64::INFINITY; n * n];
         for u in 0..n {
-            w[at(u, u)] = 0;
-            neg_t[at(u, u)] = 0;
+            c[u * n + u] = 0.0;
         }
         for e in g.edge_ids() {
             let ed = g.edge(e);
-            let (i, j) = (ed.src.index(), ed.dst.index());
-            let cand = (ed.delay as i64, -(g.node(ed.src).time as i64));
-            if cand < (w[at(i, j)], neg_t[at(i, j)]) {
-                w[at(i, j)] = cand.0;
-                neg_t[at(i, j)] = cand.1;
-            }
+            let at = ed.src.index() * n + ed.dst.index();
+            let key = (ed.delay as i64 * scale as i64 - times[ed.src.index()]) as f64;
+            c[at] = c[at].min(key);
         }
+        let mut row = vec![0.0f64; n];
         for k in 0..n {
+            row.copy_from_slice(&c[k * n..(k + 1) * n]);
             for i in 0..n {
-                if w[at(i, k)] >= INF {
+                let cik = c[i * n + k];
+                if i == k || cik == f64::INFINITY {
                     continue;
                 }
-                let (wik, tik) = (w[at(i, k)], neg_t[at(i, k)]);
-                for j in 0..n {
-                    if w[at(k, j)] >= INF {
-                        continue;
-                    }
-                    let cand = (wik + w[at(k, j)], tik + neg_t[at(k, j)]);
-                    if cand < (w[at(i, j)], neg_t[at(i, j)]) {
-                        w[at(i, j)] = cand.0;
-                        neg_t[at(i, j)] = cand.1;
-                    }
+                for (x, &ckj) in c[i * n..(i + 1) * n].iter_mut().zip(&row) {
+                    let s = cik + ckj;
+                    *x = if s < *x { s } else { *x };
                 }
             }
         }
-        let times: Vec<i64> = g.node_ids().map(|v| g.node(v).time as i64).collect();
-        let mut activation = Vec::new();
+        if let Some(v) = (0..n).find(|&v| c[v * n + v] < 0.0) {
+            panic!("W/D matrices: node {v} lies on a zero-delay cycle");
+        }
+        let key: Vec<i64> = c
+            .into_iter()
+            .map(|x| {
+                if x == f64::INFINITY {
+                    UNREACHABLE
+                } else {
+                    x as i64
+                }
+            })
+            .collect();
+
+        // One packed word per reachable pair: `sum_t - D` above `u` above
+        // `v`. Pairs are pushed in (u, v) order, so a stable sort on the
+        // `sum_t - D` field alone orders them by D descending, ties by
+        // (u, v) ascending, which keeps everything derived from the
+        // activation order deterministic.
+        let low = 2 * node_bits;
+        let mut packed = Vec::with_capacity(n * n);
         for u in 0..n {
-            for v in 0..n {
-                let nt = neg_t[at(u, v)];
-                if nt < INF {
-                    activation.push((times[v] - nt, u as u32, v as u32));
+            for (v, (&k, &t)) in key[u * n..(u + 1) * n].iter().zip(&times).enumerate() {
+                if k != UNREACHABLE {
+                    let d = (split(k, shift).1 + t) as u64;
+                    packed.push(((sum_t - d) << low) | ((u as u64) << node_bits) | v as u64);
                 }
             }
         }
-        // D descending; the (u, v)-ascending tie-break keeps the order (and
-        // everything derived from it) deterministic.
-        activation.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        // A stable LSD radix sort over the `sum_t - D` field only, in
+        // digits of at most RADIX_BITS bits; its last pass decodes each
+        // word into its activation entry.
+        let top = low + bits(sum_t);
+        let mut shifts: Vec<u32> = (low..top).step_by(RADIX_BITS as usize).collect();
+        let last = shifts.pop().unwrap_or(low);
+        let mut buf = vec![0u64; if shifts.is_empty() { 0 } else { packed.len() }];
+        for shift in shifts {
+            radix_pass(&packed, shift, RADIX_BITS, &mut buf, |p| p);
+            std::mem::swap(&mut packed, &mut buf);
+        }
+        let mask = (1u64 << node_bits) - 1;
+        let mut activation = vec![(0, 0, 0); packed.len()];
+        radix_pass(&packed, last, top - last, &mut activation, |p| {
+            let d = (sum_t - (p >> low)) as i64;
+            (d, ((p >> node_bits) & mask) as u32, (p & mask) as u32)
+        });
         WdMatrices {
             n,
-            w,
-            neg_t,
+            key,
+            shift,
             times,
             activation,
         }
@@ -107,17 +210,21 @@ impl WdMatrices {
         self.n == 0
     }
 
+    /// `(W, path time - t(dst))` of the pair, `None` if unreachable.
+    fn decode(&self, u: usize, v: usize) -> Option<(i64, i64)> {
+        let key = self.key[u * self.n + v];
+        (key != UNREACHABLE).then(|| split(key, self.shift))
+    }
+
     /// `W(u, v)`: minimum path delay count, `None` if unreachable.
     pub fn w(&self, u: usize, v: usize) -> Option<i64> {
-        let x = self.w[u * self.n + v];
-        (x < INF).then_some(x)
+        self.decode(u, v).map(|(w, _)| w)
     }
 
     /// `D(u, v)`: maximum computation time over minimum-delay paths
     /// (both endpoints included), `None` if unreachable.
     pub fn d(&self, u: usize, v: usize) -> Option<i64> {
-        let x = self.neg_t[u * self.n + v];
-        (x < INF).then_some(self.times[v] - x)
+        self.decode(u, v).map(|(_, t)| t + self.times[v])
     }
 
     /// All reachable pairs as `(D(u, v), u, v)` sorted by `D` descending —

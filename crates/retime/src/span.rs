@@ -110,16 +110,43 @@ pub fn compact_values(g: &Dfg, c: u64, r: &Retiming) -> Retiming {
 
 /// [`compact_values`] with a precomputed W/D matrix (see
 /// [`min_span_retiming_with`]).
+///
+/// Checks moves against the period-`c` constraints directly: the legality
+/// edges plus the `D > c` prefix of [`WdMatrices::activation_by_d`]. No
+/// deduplicated [`ConstraintSystem`] is built; a pair's looser duplicate
+/// bounds never change whether an assignment satisfies the system, so the
+/// result equals [`compact_values_with`] on
+/// [`constraints_for_period`]`(g, wd, c)`.
 pub fn compact_values_wd(g: &Dfg, wd: &WdMatrices, c: u64, r: &Retiming) -> Retiming {
-    let sys = constraints_for_period(g, wd, c as i64);
-    compact_values_with(&sys, r)
+    let act = wd.activation_by_d();
+    let active = act.partition_point(|&(d, _, _)| d > c as i64);
+    let checks: Vec<(usize, usize, i64)> = g
+        .edge_ids()
+        .map(|e| {
+            let ed = g.edge(e);
+            (ed.dst.index(), ed.src.index(), ed.delay as i64)
+        })
+        .chain(act[..active].iter().map(|&(_, u, v)| {
+            let w = wd
+                .w(u as usize, v as usize)
+                .expect("activated pairs are reachable");
+            (v as usize, u as usize, w - 1)
+        }))
+        .collect();
+    compact_values_by(r, |x| checks.iter().all(|&(a, b, c)| x[a] - x[b] <= c))
 }
 
 /// [`compact_values`] against an explicit constraint system (used by tests
 /// and by callers that already built one).
 pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
+    compact_values_by(r, |x| sys.satisfied_by(x))
+}
+
+/// The greedy pass behind every `compact_values*` entry point; `satisfied`
+/// says whether an assignment keeps every constraint.
+fn compact_values_by(r: &Retiming, satisfied: impl Fn(&[i64]) -> bool) -> Retiming {
     let mut vals = r.values().to_vec();
-    debug_assert!(sys.satisfied_by(&vals));
+    debug_assert!(satisfied(&vals));
     loop {
         let mut counts = std::collections::BTreeMap::<i64, usize>::new();
         for &v in &vals {
@@ -149,7 +176,7 @@ pub fn compact_values_with(sys: &ConstraintSystem, r: &Retiming) -> Retiming {
                 for &i in &movers {
                     vals[i] = t;
                 }
-                if sys.satisfied_by(&vals) {
+                if satisfied(&vals) {
                     improved = true;
                     break 'outer;
                 }

@@ -3,8 +3,13 @@
 use cred_dfg::algo::WdMatrices;
 use cred_dfg::{algo, gen, Dfg, Ratio};
 use cred_retime::feas::feas;
-use cred_retime::minperiod::{min_period_retiming_reference, retime_to_period_reference};
-use cred_retime::span::{compact_values, min_span_retiming, min_span_retiming_reference};
+use cred_retime::minperiod::{
+    constraints_for_period, min_period_retiming_reference, retime_to_period_reference,
+};
+use cred_retime::span::{
+    compact_values, compact_values_wd, compact_values_with, min_span_retiming,
+    min_span_retiming_reference, min_span_retiming_with,
+};
 use cred_retime::{min_period_retiming, retime_to_period, RetimeSolver, Retiming};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -115,6 +120,31 @@ proptest! {
         prop_assert!(c.register_count() <= opt.retiming.register_count());
         prop_assert!(c.is_legal(&g));
         prop_assert!(algo::cycle_period(&c.apply(&g)).unwrap() <= opt.period);
+    }
+
+    #[test]
+    fn compaction_from_activation_prefix_matches_constraint_system(
+        seed in any::<u64>(), nodes in 2..16usize
+    ) {
+        // The W/D-driven check (legality edges plus the `D > c` prefix of
+        // the activation order) must accept exactly the moves the
+        // deduplicated period system accepts, on the graph and on its
+        // unfoldings, from both the OPT and the span-minimized retiming.
+        let g = graph_from(seed, nodes);
+        for f in 1..=3 {
+            let u = cred_unfold::unfold(&g, f).graph;
+            let wd = WdMatrices::compute(&u);
+            let opt = min_period_retiming(&u);
+            let sys = constraints_for_period(&u, &wd, opt.period as i64);
+            let tight = min_span_retiming_with(&u, &wd, opt.period).unwrap();
+            for r in [&opt.retiming, &tight] {
+                prop_assert_eq!(
+                    compact_values_wd(&u, &wd, opt.period, r),
+                    compact_values_with(&sys, r),
+                    "f = {}", f
+                );
+            }
+        }
     }
 
     #[test]
