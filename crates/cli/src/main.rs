@@ -84,9 +84,9 @@
 
 use cred_codegen::pretty::render;
 use cred_codegen::DecMode;
-use cred_core::{CodeSizeReducer, ReducerConfig};
+use cred_core::{CodeSizeReducer, ReduceError, ReducerConfig};
 use cred_dfg::{algo, Dfg};
-use cred_explore::ExploreRequest;
+use cred_explore::{CredError, ExploreRequest};
 use cred_schedule::{list_schedule, rotation_schedule, FuConfig};
 use cred_service::{ClientConfig, ResilientClient, Server, ServiceConfig};
 use std::process::ExitCode;
@@ -156,6 +156,14 @@ fn load(path: &str) -> Result<Dfg, String> {
     cred_lang::parse(&src).map_err(|e| format!("{path}: {e}"))
 }
 
+/// A solver refusing the graph at one of its arithmetic limits, reported
+/// as the typed `solve` error (`credc explore` and the service report the
+/// same refusal per point).
+fn solve_error(e: impl std::fmt::Display) -> String {
+    let e = CredError::Solve(e.to_string());
+    format!("{}: {e}", e.code())
+}
+
 fn cmd_analyze(g: &Dfg) -> Result<(), String> {
     println!(
         "nodes: {}   edges: {}   delays: {}",
@@ -166,15 +174,16 @@ fn cmd_analyze(g: &Dfg) -> Result<(), String> {
     let period = algo::cycle_period(g)
         .ok_or_else(|| "graph has a zero-delay cycle (not a legal DFG)".to_string())?;
     println!("cycle period (unretimed): {period}");
-    match algo::iteration_bound(g) {
+    match algo::try_iteration_bound(g).map_err(solve_error)? {
         Some(b) => println!("iteration bound: {b} (= {:.3})", b.to_f64()),
         None => println!("iteration bound: none (acyclic)"),
     }
-    let opt = cred_retime::min_period_retiming(g);
+    let wd = algo::WdMatrices::try_compute(g).map_err(solve_error)?;
+    let opt = cred_retime::min_period_retiming_with(g, &wd);
     println!("minimum cycle period by retiming: {}", opt.period);
-    let r = cred_retime::span::min_span_retiming(g, opt.period)
+    let r = cred_retime::span::min_span_retiming_with(g, &wd, opt.period)
         .ok_or_else(|| format!("period {} unexpectedly span-infeasible", opt.period))?;
-    let r = cred_retime::span::compact_values(g, opt.period, &r);
+    let r = cred_retime::span::compact_values_wd(g, &wd, opt.period, &r);
     println!(
         "M_r (pipeline depth): {}   conditional registers: {}",
         r.max_value(),
@@ -210,7 +219,10 @@ fn cmd_reduce(g: Dfg, args: &Args) -> Result<(), String> {
             verify: true,
         })
         .run()
-        .map_err(|e| format!("verification failed: {e}"))?;
+        .map_err(|e| match e {
+            ReduceError::Solve(e) => solve_error(e),
+            ReduceError::Verify(_) => e.to_string(),
+        })?;
     println!("all programs verified against the loop recurrence (n = {n})\n");
     for (name, size) in red.sizes() {
         println!("{name:>20}: {size:>5} instructions");

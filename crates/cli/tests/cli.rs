@@ -38,6 +38,23 @@ fn credc_binary_runs() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // So does a kernel past the iteration-bound range and the W/D key
+    // limit: a typed `solve` error naming the limit, never a panic.
+    let path = std::env::temp_dir().join(format!("credc-huge-{}.loop", std::process::id()));
+    std::fs::write(&path, "loop { A[i] = A[i-524288] + 1 @ 2147483648; }\n").unwrap();
+    for (cmd, limit) in [("analyze", "2^63"), ("reduce", "2^53")] {
+        let out = std::process::Command::new(exe)
+            .args([cmd, path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.starts_with("credc: solve: "), "{cmd}: {stderr}");
+        assert!(stderr.contains(limit), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -18,9 +18,10 @@ use cred_codegen::cred::{cred_pipelined, cred_retime_unfold, cred_unfolded};
 use cred_codegen::pipeline::{original_program, pipelined_program};
 use cred_codegen::unfolded::{retime_unfold_program, unfolded_program};
 use cred_codegen::{DecMode, LoopProgram};
+use cred_dfg::algo::{WdError, WdMatrices};
 use cred_dfg::Dfg;
-use cred_retime::span::{compact_values, min_span_retiming};
-use cred_retime::{min_period_retiming, Retiming};
+use cred_retime::span::{compact_values_wd, min_span_retiming_with};
+use cred_retime::{min_period_retiming_with, Retiming};
 use cred_vm::{check_against_reference, ExecError};
 
 /// Configuration for [`CodeSizeReducer`].
@@ -47,6 +48,27 @@ impl Default for ReducerConfig {
         }
     }
 }
+
+/// Why [`CodeSizeReducer::run`] produced no reduction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReduceError {
+    /// The retiming solver refused the graph: its W/D matrices are out
+    /// of exact range.
+    Solve(WdError),
+    /// A generated program failed verification against the recurrence.
+    Verify(ExecError),
+}
+
+impl std::fmt::Display for ReduceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReduceError::Solve(e) => write!(f, "{e}"),
+            ReduceError::Verify(e) => write!(f, "verification failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReduceError {}
 
 /// The produced program family and its measurements.
 #[derive(Debug, Clone)]
@@ -148,12 +170,13 @@ impl CodeSizeReducer {
     }
 
     /// Run retiming, code generation, CRED, and (optionally) verification.
-    pub fn run(&self) -> Result<Reduction, ExecError> {
+    pub fn run(&self) -> Result<Reduction, ReduceError> {
         let g = &self.graph;
         let cfg = &self.config;
-        let opt = min_period_retiming(g);
-        let r = min_span_retiming(g, opt.period).expect("optimal period is feasible");
-        let r = compact_values(g, opt.period, &r);
+        let wd = WdMatrices::try_compute(g).map_err(ReduceError::Solve)?;
+        let opt = min_period_retiming_with(g, &wd);
+        let r = min_span_retiming_with(g, &wd, opt.period).expect("optimal period is feasible");
+        let r = compact_values_wd(g, &wd, opt.period, &r);
         let n = cfg.trip_count;
         let f = cfg.unfold_factor;
 
@@ -175,7 +198,7 @@ impl CodeSizeReducer {
                 .flatten()
                 .chain([&unfolded, &retime_unfold, &cred_ru].into_iter().flatten())
             {
-                check_against_reference(g, p)?;
+                check_against_reference(g, p).map_err(ReduceError::Verify)?;
             }
         }
         Ok(Reduction {

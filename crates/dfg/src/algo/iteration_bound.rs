@@ -13,7 +13,33 @@
 //! terminates by snapping to the unique ratio with denominator at most the
 //! total delay count — so the result is exact, never a float approximation.
 
+use std::fmt;
+
 use crate::{Dfg, Ratio};
+
+/// The bisection's search range, the graph's total computation time over
+/// a power-of-two grid finer than `1 / total_delays^2`, does not fit in
+/// `i64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundRangeOverflow {
+    /// Sum of all node computation times.
+    pub total_time: u64,
+    /// Sum of all edge delays.
+    pub total_delays: u64,
+}
+
+impl fmt::Display for BoundRangeOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "iteration bound: the search range, total time {} on a grid finer than \
+             1/{}^2, overflows the i64 limit 2^63",
+            self.total_time, self.total_delays
+        )
+    }
+}
+
+impl std::error::Error for BoundRangeOverflow {}
 
 /// True iff some cycle `C` satisfies `T(C)/D(C) > lambda`, i.e. the graph
 /// weighted by `w(e) = den * t(src) - num * d(e)` has a positive cycle.
@@ -72,19 +98,28 @@ fn snap_ratio(lo: Ratio, hi: Ratio, max_den: i64) -> Ratio {
     hi
 }
 
+/// [`try_iteration_bound`] for graphs known to be in range.
+///
+/// # Panics
+/// Panics where `try_iteration_bound` returns an error or panics.
+pub fn iteration_bound(g: &Dfg) -> Option<Ratio> {
+    try_iteration_bound(g).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Compute the iteration bound `B(G)` exactly.
 ///
-/// Returns `None` for an acyclic graph (no cycle constrains the rate; the
-/// iteration bound is conventionally zero / absent).
+/// Returns `Ok(None)` for an acyclic graph (no cycle constrains the rate;
+/// the iteration bound is conventionally zero / absent), and an error if
+/// the bisection's search range overflows `i64`.
 ///
 /// # Panics
 /// Panics if the graph contains a zero-delay cycle (malformed; validate
 /// first).
-pub fn iteration_bound(g: &Dfg) -> Option<Ratio> {
+pub fn try_iteration_bound(g: &Dfg) -> Result<Option<Ratio>, BoundRangeOverflow> {
     // lambda = 0: a positive cycle exists iff the graph has any cycle at all
     // (all computation times are >= 1).
     if !has_cycle_ratio_above(g, Ratio::integer(0)) {
-        return None;
+        return Ok(None);
     }
     let d_max = g.total_delays() as i64;
     assert!(
@@ -94,15 +129,17 @@ pub fn iteration_bound(g: &Dfg) -> Option<Ratio> {
     // Bisect on the dyadic grid x / scale with a fixed power-of-two scale
     // strictly finer than 1/d_max^2, so the final bracket (lo, hi] of width
     // 1/scale contains exactly one ratio with denominator <= d_max: B(G).
-    let t_total = g.total_time() as i64;
-    let mut scale: i64 = 1;
-    while (scale as i128) <= (d_max as i128) * (d_max as i128) {
-        scale <<= 1;
-    }
-    let mut lo: i64 = 0; // invariant: some cycle ratio > lo/scale
-    let mut hi: i64 = t_total
+    let scale = (d_max as u128 * d_max as u128 + 1).next_power_of_two();
+    let mut hi: i64 = (g.total_time() as u128)
         .checked_mul(scale)
-        .expect("iteration-bound search range overflow");
+        .and_then(|range| i64::try_from(range).ok())
+        .ok_or(BoundRangeOverflow {
+            total_time: g.total_time(),
+            total_delays: g.total_delays(),
+        })?;
+    // `total_time >= 1` on a cyclic graph, so `scale <= hi` fits too.
+    let scale = scale as i64;
+    let mut lo: i64 = 0; // invariant: some cycle ratio > lo/scale
     debug_assert!(!has_cycle_ratio_above(g, Ratio::new(hi, scale)));
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
@@ -114,7 +151,7 @@ pub fn iteration_bound(g: &Dfg) -> Option<Ratio> {
     }
     let b = snap_ratio(Ratio::new(lo, scale), Ratio::new(hi, scale), d_max);
     debug_assert!(!has_cycle_ratio_above(g, b));
-    Some(b)
+    Ok(Some(b))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ pub mod topo;
 pub mod wd;
 
 pub use cycle_period::{cycle_period, zero_delay_longest_path_to};
-pub use iteration_bound::iteration_bound;
+pub use iteration_bound::{iteration_bound, try_iteration_bound, BoundRangeOverflow};
 pub use scc::strongly_connected_components;
 pub use topo::zero_delay_topo_order;
-pub use wd::WdMatrices;
+pub use wd::{WdError, WdMatrices};

@@ -19,7 +19,7 @@
 //! `W * S - (path time - t(dst))` orders exactly like that pair (the time
 //! part of any sum of two path keys spans less than `S`), and keys add
 //! along paths. The loop holds keys in `f64`, with `+inf` for
-//! "unreachable": [`WdMatrices::compute`] first checks that every
+//! "unreachable": [`WdMatrices::try_compute`] first checks that every
 //! candidate sum (two simple-path keys) stays below `2^53`, so every
 //! finite value is an exactly represented integer and the branch-free
 //! `min` over a copied pivot row vectorizes. The result is stored as one
@@ -27,6 +27,8 @@
 //! a shift. The activation order ([`WdMatrices::activation_by_d`]) comes
 //! from one packed `u64` per pair, `(sum_t - D, u, v)` in bit fields,
 //! radix-sorted on its `sum_t - D` field.
+
+use std::fmt;
 
 use crate::Dfg;
 
@@ -36,6 +38,57 @@ const EXACT_LIMIT: u128 = 1 << 53;
 
 /// Stored key of an unreachable pair.
 const UNREACHABLE: i64 = i64::MAX;
+
+/// Why [`WdMatrices::try_compute`] refused a graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WdError {
+    /// A sum of two path keys could reach `2^53`, past which `f64` keys
+    /// are no longer exact integers.
+    KeyLimit {
+        /// Largest magnitude a candidate key sum could reach.
+        reach: u128,
+        /// Sum of all edge delays.
+        total_delays: u64,
+        /// The key's time scale `S`.
+        scale: u64,
+    },
+    /// The packed activation sort word would need more than 64 bits.
+    SortKeyWidth {
+        /// Bits the word would need.
+        bits: u32,
+    },
+    /// The node lies on a zero-delay cycle, so `W` and `D` are undefined.
+    ZeroDelayCycle {
+        /// Index of a node on the cycle.
+        node: usize,
+    },
+}
+
+impl fmt::Display for WdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WdError::KeyLimit {
+                reach,
+                total_delays,
+                scale,
+            } => write!(
+                f,
+                "W/D matrices: sums of two path keys of this graph may reach {reach}, \
+                 over the exact f64 key limit 2^53 (sum of delays {total_delays}, \
+                 time scale {scale})"
+            ),
+            WdError::SortKeyWidth { bits } => write!(
+                f,
+                "W/D matrices: the activation sort key needs {bits} bits, over 64"
+            ),
+            WdError::ZeroDelayCycle { node } => {
+                write!(f, "W/D matrices: node {node} lies on a zero-delay cycle")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WdError {}
 
 /// Dense `W`/`D` matrices for all node pairs, stored as one packed key per
 /// pair (see the module docs); the `Option` accessors decode it.
@@ -92,14 +145,23 @@ fn radix_pass<T>(src: &[u64], shift: u32, width: u32, dst: &mut [T], f: impl Fn(
 }
 
 impl WdMatrices {
-    /// Compute both matrices in `O(V^3)` (dense Floyd–Warshall).
+    /// [`WdMatrices::try_compute`] for graphs known to be in range.
     ///
     /// # Panics
-    /// Panics, before any path is computed, if a sum of two path keys
-    /// could reach `2^53` (then `f64` keys would no longer be exact), and
-    /// after the loop if the graph has a zero-delay cycle (`W`/`D` are
-    /// then undefined). Neither case returns matrices.
+    /// Panics with the [`WdError`] message where `try_compute` would
+    /// return it.
     pub fn compute(g: &Dfg) -> Self {
+        Self::try_compute(g).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Compute both matrices in `O(V^3)` (dense Floyd–Warshall).
+    ///
+    /// Refuses, before any path is computed, a graph where a sum of two
+    /// path keys could reach `2^53` (then `f64` keys would no longer be
+    /// exact) or whose activation sort word would pass 64 bits, and after
+    /// the loop a graph with a zero-delay cycle (`W`/`D` are then
+    /// undefined).
+    pub fn try_compute(g: &Dfg) -> Result<Self, WdError> {
         let n = g.node_count();
         let times: Vec<i64> = g.node_ids().map(|v| g.node(v).time as i64).collect();
         let sum_t = g.total_time();
@@ -107,19 +169,21 @@ impl WdMatrices {
         let shift = scale.trailing_zeros();
         // Path keys lie in [-sum_t, sum_d * S], so a candidate (the sum of
         // two of them) has magnitude at most 2 * (sum_d * S + sum_t).
-        let reach = 2 * (g.total_delays() as u128 * scale as u128 + sum_t as u128);
-        assert!(
-            reach < EXACT_LIMIT,
-            "W/D matrices: sums of two path keys of this graph may reach {reach}, \
-             over the exact f64 key limit 2^53 (sum of delays {}, time scale {scale})",
-            g.total_delays()
-        );
+        let total_delays = g.total_delays();
+        let reach = 2 * (total_delays as u128 * scale as u128 + sum_t as u128);
+        if reach >= EXACT_LIMIT {
+            return Err(WdError::KeyLimit {
+                reach,
+                total_delays,
+                scale,
+            });
+        }
         let node_bits = bits(n.saturating_sub(1) as u64);
-        assert!(
-            bits(sum_t) + 2 * node_bits <= u64::BITS,
-            "W/D matrices: the activation sort key needs {} bits, over 64",
-            bits(sum_t) + 2 * node_bits
-        );
+        if bits(sum_t) + 2 * node_bits > u64::BITS {
+            return Err(WdError::SortKeyWidth {
+                bits: bits(sum_t) + 2 * node_bits,
+            });
+        }
 
         let mut c = vec![f64::INFINITY; n * n];
         for u in 0..n {
@@ -145,8 +209,8 @@ impl WdMatrices {
                 }
             }
         }
-        if let Some(v) = (0..n).find(|&v| c[v * n + v] < 0.0) {
-            panic!("W/D matrices: node {v} lies on a zero-delay cycle");
+        if let Some(node) = (0..n).find(|&v| c[v * n + v] < 0.0) {
+            return Err(WdError::ZeroDelayCycle { node });
         }
         let key: Vec<i64> = c
             .into_iter()
@@ -191,13 +255,13 @@ impl WdMatrices {
             let d = (sum_t - (p >> low)) as i64;
             (d, ((p >> node_bits) & mask) as u32, (p & mask) as u32)
         });
-        WdMatrices {
+        Ok(WdMatrices {
             n,
             key,
             shift,
             times,
             activation,
-        }
+        })
     }
 
     /// Number of nodes.

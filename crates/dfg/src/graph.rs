@@ -71,10 +71,10 @@ pub enum OpKind {
 impl OpKind {
     /// Evaluate the operation on `inputs` at (1-based) iteration `i`.
     ///
-    /// `inline(always)`: the VM's streamed executor calls this from
-    /// per-variant monomorphized loops where the match must fold to the
-    /// variant's one or two ALU ops; the plain hint loses to the
-    /// inliner's budget inside those large loop nests.
+    /// `inline(always)`: the tape executor's checked and unchecked loops
+    /// call this once per compute instance; inlined, the variant match
+    /// sits in the loop body instead of behind a call, and the plain
+    /// hint loses to the inliner's budget inside those loop nests.
     #[inline(always)]
     pub fn eval(self, inputs: &[i64], i: i64) -> i64 {
         match self {
@@ -101,7 +101,7 @@ impl OpKind {
                     // Add fallback, spelled out: a self-call here would
                     // make `eval` recursive, and LLVM silently drops
                     // `alwaysinline` from recursive functions — which
-                    // un-inlines every monomorphized VM stream loop.
+                    // puts a call back into every VM hot loop.
                     inputs.iter().fold(c, |acc, &x| acc.wrapping_add(x))
                 }
             }

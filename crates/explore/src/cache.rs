@@ -3,9 +3,9 @@
 //!
 //! Every trade-off point needs three `O(V^3)` passes over the unfolded
 //! graph (period search, span minimization, register compaction), each of
-//! which — in the straightforward [`crate::sweep`] path — recomputes the
-//! same Floyd–Warshall W/D matrices from scratch. The cache layer fixes
-//! both redundancies:
+//! which — in the straightforward [`crate::sweep_reference`] path —
+//! recomputes the same Floyd–Warshall W/D matrices from scratch. The
+//! cache layer fixes both redundancies:
 //!
 //! * within one factor, the W/D matrices are computed **once** and shared
 //!   across all three passes (the `*_with` entry points in `cred-retime`);
@@ -117,9 +117,10 @@ impl PlanSource {
 /// warm-started solver.
 ///
 /// This is the uncached fast path; [`SweepCache::plan`] wraps it with
-/// memoization. It yields plans identical to [`crate::sweep`]'s per-point
-/// pipeline while doing strictly less work: Floyd–Warshall runs once
-/// instead of three times, and one [`RetimeSolver`] carries its CSR graph
+/// memoization. It yields plans identical to
+/// [`crate::sweep_reference`]'s per-point pipeline while doing strictly
+/// less work: Floyd–Warshall runs once instead of three times, and one
+/// [`RetimeSolver`] carries its CSR graph
 /// and warm-start state from the period search straight into the span
 /// minimization — the span pass starts from the search's final feasible
 /// fixpoint instead of re-solving the period system.
@@ -180,8 +181,8 @@ fn plan_reference(g: &Dfg, f: usize) -> FactorPlan {
 ///    operation to stop, so `Err(Exhausted::Cancelled)` propagates.
 ///
 /// A panic in the *reference* path (nothing left to fall back to)
-/// propagates to the caller; [`crate::par_sweep_resilient`] isolates it
-/// per point.
+/// propagates to the caller; [`ExploreRequest`](crate::ExploreRequest)
+/// isolates it per point.
 pub fn compute_plan_budgeted(
     g: &Dfg,
     f: usize,

@@ -24,9 +24,8 @@ use crate::ParetoPoint;
 /// unknown keys keep working); v3 replaces the flat per-point fields
 /// with a nested `objectives` object (adding `maxlive`) and renames the
 /// response's `pareto` array to `frontier` (now non-dominated over four
-/// axes) — v2 readers keep working through the service's compatibility
-/// path, which answers `"schema_version": 2` requests byte-identically
-/// to a v2 server; the committed golden files replay against both.
+/// axes). Only v3 is served: the service rejects a request naming any
+/// other `schema_version` with a typed `protocol` error.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// The sweep of one kernel.

@@ -105,7 +105,7 @@ impl Parser {
             if d < 0 {
                 return Err(self.err("negative delay"));
             }
-            d as u32
+            u32::try_from(d).map_err(|_| self.err("delay over 4294967295"))?
         } else if self.peek() == Some(&Token::Plus) {
             return Err(self.err("forward references 'Name[i+k]' are not allowed"));
         } else {
@@ -176,7 +176,7 @@ impl Parser {
             if t < 1 {
                 return Err(self.err("computation time must be >= 1"));
             }
-            t as u32
+            u32::try_from(t).map_err(|_| self.err("computation time over 4294967295"))?
         } else {
             1
         };
@@ -304,5 +304,15 @@ mod tests {
     fn rejects_zero_time() {
         let e = parse_kernel("loop { A[i] = 1 @ 0; }").unwrap_err();
         assert!(e.message.contains("time"));
+    }
+
+    #[test]
+    fn rejects_delays_and_times_past_u32() {
+        let e = parse_kernel("loop { A[i] = A[i-4294967296] + 1; }").unwrap_err();
+        assert!(e.message.contains("delay over 4294967295"), "{e:?}");
+        let e = parse_kernel("loop { A[i] = A[i-1] + 1 @ 4294967296; }").unwrap_err();
+        assert!(e.message.contains("time over 4294967295"), "{e:?}");
+        let k = parse_kernel("loop { A[i] = A[i-4294967295] + 1 @ 4294967295; }").unwrap();
+        assert_eq!(k.stmts[0].time, u32::MAX);
     }
 }

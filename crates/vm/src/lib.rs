@@ -22,7 +22,8 @@
 //! program directly and is the *reference* implementation; [`compile`]
 //! lowers the program once into a flat [`Tape`] (operands preresolved,
 //! CRED guards precomputed into predicate bitsets) that
-//! [`execute_tape`] runs an order of magnitude faster. The two are held
+//! [`execute_tape`] runs several times faster (about 3x geomean on the
+//! kernels, per `BENCH_vm.json`). The two are held
 //! equivalent by [`cross_check_executors`] and the differential
 //! proptests; the verification oracle runs the tape path by default.
 //!

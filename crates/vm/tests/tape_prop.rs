@@ -3,12 +3,23 @@
 //! tree-walking reference — `execute_tape == execute` on every program
 //! the verification pipeline generates, and still indistinguishable
 //! after seeded mutations drive the programs into every fault path.
+//! Kernel-sized programs (every bundled kernel at n = 2048) cover the
+//! long loops the fuzzed cases never reach.
 
+use std::path::Path;
+
+use cred_codegen::cred::{cred_retime_unfold, cred_unfold_retime};
 use cred_codegen::ir::PredId;
-use cred_codegen::{Guard, Index, Inst, LoopProgram};
+use cred_codegen::unfolded::retime_unfold_program;
+use cred_codegen::{DecMode, Guard, Index, Inst, LoopProgram};
 use cred_dfg::OpKind;
+use cred_explore::cache::compute_plan;
+use cred_retime::min_period_retiming;
+use cred_unfold::unfold;
 use cred_verify::{case_programs, random_case, CaseConfig};
-use cred_vm::{cross_check_executors, diff_against_reference, diff_against_reference_tape};
+use cred_vm::{
+    compile, cross_check_executors, diff_against_reference, diff_against_reference_tape,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,4 +188,42 @@ fn mid_loop_setup_window_matches() {
         post: vec![],
     };
     cross_check_executors(&p).unwrap();
+}
+
+/// Kernel-sized tapes: every bundled kernel's generated programs at
+/// f = 1..=3 and n = 2048, where a loop runs thousands of instruction
+/// instances (the fuzzed cases above keep `n <= 40`). Every one must
+/// preverify, so this is the unchecked loop at the sizes the benches
+/// run, held bit-identical to the tree-walker.
+#[test]
+fn kernel_sized_programs_preverify_and_match_the_tree_walker() {
+    const N: u64 = 2048;
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+    let mut kernels: Vec<_> = std::fs::read_dir(&dir)
+        .expect("kernels directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    kernels.sort();
+    assert_eq!(kernels.len(), 10, "{kernels:?}");
+    for path in &kernels {
+        let src = std::fs::read_to_string(path).expect("kernel file");
+        let g = cred_lang::parse(&src).expect("bundled kernel parses");
+        for f in 1..=3 {
+            let r = compute_plan(&g, f).projected;
+            let u = unfold(&g, f);
+            let r_f = min_period_retiming(&u.graph).retiming;
+            for p in [
+                retime_unfold_program(&g, &r, f, N),
+                cred_retime_unfold(&g, &r, f, N, DecMode::Bulk),
+                cred_retime_unfold(&g, &r, f, N, DecMode::PerCopy),
+                cred_unfold_retime(&g, &u, &r_f, N),
+            ] {
+                let label = format!("{} f={f} {}", path.display(), p.name);
+                let tape = compile(&p).expect("no fault plan is installed");
+                assert!(tape.preverified(), "{label}");
+                cross_check_executors(&p).unwrap_or_else(|d| panic!("{label}: {d}"));
+            }
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! sources: every `.loop` file in `kernels/` parses, analyzes, reduces,
 //! and verifies end-to-end; unparsing the benchmark graphs round-trips.
 
-use cred::core::{CodeSizeReducer, ReducerConfig};
+use cred::core::{CodeSizeReducer, ReduceError, ReducerConfig};
 use cred::kernels::all_benchmarks;
 use cred_lang::{parse, unparse};
 
@@ -89,5 +89,23 @@ fn extra_kernels_unparse_and_reparse() {
         let g2 = parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(g.node_count(), g2.node_count());
         assert_eq!(g.reference_execution(7), g2.reference_execution(7));
+    }
+}
+
+/// A kernel past two exact-arithmetic limits: the iteration-bound
+/// bisection range (`2^31` time units on a grid finer than `1/2^38`)
+/// overflows `i64`, and its W/D path keys pass `2^53`. The solvers must
+/// refuse it with errors that name the limit, which `credc analyze` and
+/// `credc reduce` report as a `solve` error instead of panicking.
+#[test]
+fn huge_kernel_is_refused_with_the_limit_named() {
+    let g = parse("loop { A[i] = A[i-524288] + 1 @ 2147483648; }").unwrap();
+    let bound = cred::dfg::algo::try_iteration_bound(&g).unwrap_err();
+    assert!(bound.to_string().contains("i64 limit 2^63"), "{bound}");
+    let wd = cred::dfg::algo::WdMatrices::try_compute(&g).unwrap_err();
+    assert!(wd.to_string().contains("exact f64 key limit 2^53"), "{wd}");
+    match CodeSizeReducer::new(g).run() {
+        Err(ReduceError::Solve(e)) => assert_eq!(e, wd),
+        other => panic!("expected the W/D limit, got {other:?}"),
     }
 }
