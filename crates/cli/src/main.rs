@@ -470,7 +470,8 @@ fn resolve_machine(spec: &str) -> Result<cred_exact::MachineModel, String> {
 /// witnesses that certify optimality.
 fn cmd_exact(g: &Dfg, args: &Args) -> Result<(), String> {
     let machine = resolve_machine(args.get("machine").unwrap_or("unconstrained"))?;
-    let lower = cred_retime::min_period_retiming(g).period;
+    let wd = algo::WdMatrices::try_compute(g).map_err(solve_error)?;
+    let lower = cred_retime::min_period_retiming_with(g, &wd).period;
     let sched = cred_exact::exact_schedule(g, &machine);
     cred_exact::check::check_schedule(g, &machine, &sched)
         .map_err(|e| format!("schedule failed independent validation: {e}"))?;

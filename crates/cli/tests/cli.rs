@@ -40,10 +40,11 @@ fn credc_binary_runs() {
     assert!(!out.status.success());
 
     // So does a kernel past the iteration-bound range and the W/D key
-    // limit: a typed `solve` error naming the limit, never a panic.
+    // limit: a typed `solve` error naming the limit, never a panic. `exact`
+    // refuses it before its II ladder sizes anything by the period.
     let path = std::env::temp_dir().join(format!("credc-huge-{}.loop", std::process::id()));
     std::fs::write(&path, "loop { A[i] = A[i-524288] + 1 @ 2147483648; }\n").unwrap();
-    for (cmd, limit) in [("analyze", "2^63"), ("reduce", "2^53")] {
+    for (cmd, limit) in [("analyze", "2^63"), ("reduce", "2^53"), ("exact", "2^53")] {
         let out = std::process::Command::new(exe)
             .args([cmd, path.to_str().unwrap()])
             .output()

@@ -43,6 +43,23 @@
 //! The ladder terminates: `II = sum_v t(v)` always admits the sequential
 //! schedule (distinct slots in zero-delay topological order).
 //!
+//! After each placement a *capacity lookahead* (`Searcher::fits`)
+//! skips the child when the ops still to be placed cannot fit the
+//! reservation table. Placements only take capacity away, so each
+//! remaining op needs a start whose class cycles and issue slot are free
+//! now; it is necessary that every remaining op time has one, that each
+//! capped class has its remaining occupancy free on the cycles those
+//! starts cover, and that the free issue slots at those starts number at
+//! least the remaining ops. A pruned subtree holds no leaf and the branch
+//! order is unchanged, so the first leaf (`ii`, `slot`, `stage`) is the
+//! same as without the lookahead; only the trial count falls. It can,
+//! however, skip the subtree where a conflict would have been promoted to
+//! a `CriticalCycle`, so a searched rung may end `Exhausted` instead;
+//! both are valid certificates and the closed-form screens never change.
+//! The lookahead runs only after a charged trial, so every `Exhausted`
+//! witness keeps `branches > 0`. It covers `II <= 64` with one `u64`
+//! mask per class and is off on machines that cap nothing.
+//!
 //! Branch-and-bound work charges the [`Budget`] one unit per slot trial
 //! and passes the `exact.branch` fail-point, so exhaustion and chaos
 //! testing compose the same way as in the retiming solver.
@@ -247,6 +264,12 @@ struct Searcher<'g> {
     /// within each half (cycle nodes are where conflicts live; off-cycle
     /// nodes never force backtracking on unconstrained machines).
     order: Vec<u32>,
+    /// Remaining demand of `order[d..]` per depth `d` (`n + 1` entries),
+    /// read by the capacity lookahead.
+    suffix: Vec<Demand>,
+    /// Per-class unit count the reservation table enforces (`None` =
+    /// unlimited).
+    cap: [Option<u32>; OP_CLASSES],
     /// Assigned slot per node; `-1` = unassigned.
     slot: Vec<i64>,
     /// Stage difference constraints (DPLL(T)-style theory core).
@@ -256,6 +279,15 @@ struct Searcher<'g> {
     occ: Vec<u32>,
     /// Ops issued per slot.
     issue: Vec<u32>,
+    /// Whether the capacity lookahead runs on this rung: `II <= 64` and
+    /// the machine caps something (never on the unconstrained machine,
+    /// where it could not prune).
+    masked: bool,
+    /// Bit `s` set iff class `c` has no unit left at slot `s` (`full[c]`)
+    /// or slot `s` has no issue slot left (`issue_full`). Maintained only
+    /// on `masked` rungs.
+    full: [u64; OP_CLASSES],
+    issue_full: u64,
     /// Slot trials on the current rung / across the run.
     rung_branches: u64,
     total_branches: u64,
@@ -284,16 +316,37 @@ impl<'g> Searcher<'g> {
                 .map(|v| v.0),
         );
         debug_assert_eq!(order.len(), n);
+        let mut suffix = vec![Demand::default(); n + 1];
+        for d in (0..n).rev() {
+            let v = order[d] as usize;
+            let mut need = suffix[d + 1];
+            need.occupancy[class[v]] += t[v] as u64;
+            // Times above 64 never reach the lookahead: the window screen
+            // rejects every II below them.
+            if t[v] <= 64 {
+                need.times[class[v]] |= 1 << (t[v] - 1);
+            }
+            need.ops += 1;
+            suffix[d] = need;
+        }
+        // `reservation_slack` is 0 unless a mutation test armed the
+        // test-only hook; see `hooks`.
+        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + reservation_slack()));
         Searcher {
             g,
             m,
             t,
             class,
             order,
+            suffix,
+            cap,
             slot: vec![-1; n],
             engine: DiffEngine::new(n),
             occ: Vec::new(),
             issue: Vec::new(),
+            masked: false,
+            full: [0; OP_CLASSES],
+            issue_full: 0,
             rung_branches: 0,
             total_branches: 0,
             cert: None,
@@ -388,6 +441,10 @@ impl<'g> Searcher<'g> {
         self.occ.resize(OP_CLASSES * ii as usize, 0);
         self.issue.clear();
         self.issue.resize(ii as usize, 0);
+        self.masked =
+            ii <= 64 && (self.cap.iter().any(Option::is_some) || self.m.issue_width.is_some());
+        self.full = [0; OP_CLASSES];
+        self.issue_full = 0;
         self.rung_branches = 0;
         self.cert = None;
         self.found = None;
@@ -423,7 +480,7 @@ impl<'g> Searcher<'g> {
                 continue;
             }
             let cp = self.engine.checkpoint();
-            if self.assert_edges(v, s, ii) {
+            if self.assert_edges(v, s, ii) && self.fits(depth + 1, ii) {
                 self.slot[v] = s;
                 if self.dfs(depth + 1, ii, budget)? {
                     return Ok(true);
@@ -446,11 +503,8 @@ impl<'g> Searcher<'g> {
     fn reserve(&mut self, v: usize, s: i64, ii: u64) -> bool {
         let ci = self.class[v];
         let t = self.t[v] as i64;
-        // `reservation_slack` is 0 unless a mutation test armed the
-        // test-only hook; see `hooks`.
-        if let Some(units) = self.m.units(OpClass::ALL[ci]) {
-            let cap = units + reservation_slack();
-            let base = ci * ii as usize;
+        let base = ci * ii as usize;
+        if let Some(cap) = self.cap[ci] {
             for q in s..s + t {
                 if self.occ[base + q as usize] + 1 > cap {
                     return false;
@@ -462,20 +516,72 @@ impl<'g> Searcher<'g> {
                 return false;
             }
         }
-        let base = ci * ii as usize;
         for q in s..s + t {
-            self.occ[base + q as usize] += 1;
+            let o = &mut self.occ[base + q as usize];
+            *o += 1;
+            if self.masked && Some(*o) == self.cap[ci] {
+                self.full[ci] |= 1 << q;
+            }
         }
         self.issue[s as usize] += 1;
+        if self.masked && Some(self.issue[s as usize]) == self.m.issue_width {
+            self.issue_full |= 1 << s;
+        }
         true
     }
 
     fn release(&mut self, v: usize, s: i64) {
-        let base = self.class[v] * self.issue.len();
+        let ci = self.class[v];
+        let ii = self.issue.len();
         for q in s..s + self.t[v] as i64 {
-            self.occ[base + q as usize] -= 1;
+            self.occ[ci * ii + q as usize] -= 1;
+            if self.masked {
+                self.full[ci] &= !(1 << q);
+            }
         }
         self.issue[s as usize] -= 1;
+        if self.masked {
+            self.issue_full &= !(1 << s);
+        }
+    }
+
+    /// Capacity lookahead (see the module docs): false if the ops
+    /// `order[depth..]` provably cannot fit the reservation table as it
+    /// stands. Always true off `masked` rungs.
+    fn fits(&self, depth: usize, ii: u64) -> bool {
+        let need = &self.suffix[depth];
+        if !self.masked || need.ops == 0 {
+            return true;
+        }
+        let window = u64::MAX >> (64 - ii);
+        let issue_free = window & !self.issue_full;
+        let mut starts = 0u64;
+        for ci in 0..OP_CLASSES {
+            let free = window & !self.full[ci];
+            let mut covered = 0u64;
+            let mut times = need.times[ci];
+            while times != 0 {
+                let t = times.trailing_zeros() + 1;
+                times &= times - 1;
+                // Starts whose `t` cycles are all free; the shifts also
+                // keep `s + t <= ii`.
+                let s = (0..t).fold(issue_free, |acc, k| acc & (free >> k));
+                if s == 0 {
+                    return false;
+                }
+                starts |= s;
+                covered |= (0..t).fold(0, |acc, k| acc | (s << k));
+            }
+            if let Some(cap) = self.cap[ci] {
+                if room(covered, cap, &self.occ[ci * ii as usize..]) < need.occupancy[ci] {
+                    return false;
+                }
+            }
+        }
+        match self.m.issue_width {
+            Some(width) => room(starts, width, &self.issue) >= need.ops,
+            None => true,
+        }
     }
 
     /// Assert the stage constraints of every edge between `v` (slot `s`)
@@ -527,31 +633,55 @@ impl<'g> Searcher<'g> {
             return;
         }
         let k = nodes.len();
-        let mut edges = Vec::with_capacity(k);
-        let mut total_time = 0u64;
-        let mut total_delay = 0u64;
-        for i in 0..k {
+        let hop = |i: usize| {
             let a = NodeId(nodes[i]);
             let b = nodes[(i + 1) % k];
-            let best = self
+            *self
                 .g
                 .out_edges(a)
                 .iter()
                 .filter(|&&e| self.g.edge(e).dst.0 == b)
                 .min_by_key(|&&e| self.g.edge(e).delay)
-                .expect("conflict cycle hops are graph edges");
-            edges.push(best.0);
-            total_time += self.t[a.index()] as u64;
-            total_delay += self.g.edge(*best).delay as u64;
+                .expect("conflict cycle hops are graph edges")
+        };
+        let mut total_time = 0u64;
+        let mut total_delay = 0u64;
+        for (i, &a) in nodes.iter().enumerate() {
+            total_time += self.t[a as usize] as u64;
+            total_delay += self.g.edge(hop(i)).delay as u64;
         }
         if total_time > ii * total_delay {
             self.cert = Some(Infeasible::CriticalCycle {
-                edges,
+                edges: (0..k).map(|i| hop(i).0).collect(),
                 total_time,
                 total_delay,
             });
         }
     }
+}
+
+/// What the ops still to be placed need: per-class occupancy, a per-class
+/// bitmask of their times (bit `t - 1` for time `t`), and their count.
+#[derive(Debug, Clone, Copy, Default)]
+struct Demand {
+    occupancy: [u64; OP_CLASSES],
+    times: [u64; OP_CLASSES],
+    ops: u64,
+}
+
+/// Units left on the cycles set in `mask`, for a resource with `cap`
+/// units per cycle and `used[q]` of them taken at cycle `q`. Every cycle
+/// in `mask` must have a unit left.
+fn room(mut mask: u64, cap: u32, used: &[u32]) -> u64 {
+    if cap == 1 {
+        return mask.count_ones() as u64;
+    }
+    let mut room = 0;
+    while mask != 0 {
+        room += (cap - used[mask.trailing_zeros() as usize]) as u64;
+        mask &= mask - 1;
+    }
+    room
 }
 
 #[cfg(test)]

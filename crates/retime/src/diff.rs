@@ -94,10 +94,13 @@ pub struct DiffEngine {
     out: Vec<Vec<u32>>,
     cons: Vec<Con>,
     trail: Vec<Trail>,
+    /// Propagation queue; empty, with `in_queue` all false, between
+    /// assertions.
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
-    /// Scratch for cycle extraction.
+    /// Scratch for cycle extraction: visited marks and the walked path.
     mark: Vec<bool>,
+    rev: Vec<(u32, i64)>,
 }
 
 impl DiffEngine {
@@ -216,10 +219,7 @@ impl DiffEngine {
         }
         self.raise(v as u32, self.val[u] + w, Some(cid));
         // Queue-based relaxation. Every queued node was raised; only its
-        // outgoing constraints can have become violated. (The queue can
-        // hold leftovers from a prior early-terminated propagation.)
-        self.queue.clear();
-        self.in_queue.iter_mut().for_each(|b| *b = false);
+        // outgoing constraints can have become violated.
         self.queue.push_back(v as u32);
         self.in_queue[v] = true;
         while let Some(x) = self.queue.pop_front() {
@@ -233,6 +233,9 @@ impl DiffEngine {
                         // positive cycle through the new constraint.
                         let cycle = self.extract_cycle(u as u32, v as u32, w, c);
                         self.rollback(cp);
+                        for x in self.queue.drain(..) {
+                            self.in_queue[x as usize] = false;
+                        }
                         return Err(cycle);
                     }
                     self.raise(c.v, target, Some(self.out[x as usize][i]));
@@ -270,7 +273,8 @@ impl DiffEngine {
     /// instead. Either way `rev` records each walked node with the weight
     /// of its *outgoing* constraint along the cycle direction.
     fn extract_cycle(&mut self, u: u32, v: u32, w: i64, last: Con) -> PositiveCycle {
-        let mut rev: Vec<(u32, i64)> = Vec::new(); // (node, out-weight on cycle)
+        let mut rev = std::mem::take(&mut self.rev); // (node, out-weight on cycle)
+        rev.clear();
         let mut cur = last.u;
         let mut out_weight = last.w;
         let (mut nodes, mut weights): (Vec<u32>, Vec<i64>);
@@ -317,6 +321,7 @@ impl DiffEngine {
         for &(n, _) in &rev {
             self.mark[n as usize] = false;
         }
+        self.rev = rev;
         let weight: i64 = weights.iter().sum();
         debug_assert!(weight > 0, "extracted cycle must be positive");
         PositiveCycle {

@@ -95,8 +95,9 @@ fn extra_kernels_unparse_and_reparse() {
 /// A kernel past two exact-arithmetic limits: the iteration-bound
 /// bisection range (`2^31` time units on a grid finer than `1/2^38`)
 /// overflows `i64`, and its W/D path keys pass `2^53`. The solvers must
-/// refuse it with errors that name the limit, which `credc analyze` and
-/// `credc reduce` report as a `solve` error instead of panicking.
+/// refuse it with errors that name the limit, which `credc analyze`,
+/// `credc reduce` and `credc exact` report as a `solve` error instead of
+/// panicking.
 #[test]
 fn huge_kernel_is_refused_with_the_limit_named() {
     let g = parse("loop { A[i] = A[i-524288] + 1 @ 2147483648; }").unwrap();
@@ -108,4 +109,11 @@ fn huge_kernel_is_refused_with_the_limit_named() {
         Err(ReduceError::Solve(e)) => assert_eq!(e, wd),
         other => panic!("expected the W/D limit, got {other:?}"),
     }
+    // `credc exact` takes its resource-blind lower bound through the same
+    // checked W/D matrices. Only the key limit refuses: the same time with
+    // one delay stays inside it and gets its period.
+    let g = parse("loop { A[i] = A[i-1] + 1 @ 2147483648; }").unwrap();
+    let wd = cred::dfg::algo::WdMatrices::try_compute(&g).unwrap();
+    let opt = cred::retime::min_period_retiming_with(&g, &wd);
+    assert_eq!(opt.period, 2147483648);
 }
