@@ -35,6 +35,4 @@ pub mod machine;
 pub mod solver;
 
 pub use machine::{MachineModel, MachineParseError};
-#[cfg(feature = "mutation-hooks")]
-pub use solver::hooks;
 pub use solver::{exact_schedule, exact_schedule_budgeted, ExactSchedule, Infeasible, RejectedII};

@@ -223,34 +223,6 @@ pub fn exact_schedule_budgeted(
     Searcher::new(g, m).run(budget)
 }
 
-#[cfg(feature = "mutation-hooks")]
-pub mod hooks {
-    //! Test-only mutation hooks. Compiled in only with the
-    //! `mutation-hooks` feature and inert (zero) until a test flips
-    //! them; mutation tests use them to verify the verification layers
-    //! actually catch solver bugs.
-
-    use std::sync::atomic::AtomicU32;
-
-    /// Extra phantom units the reservation-table conflict check believes
-    /// every class has. `0` = correct behavior; `1` re-creates the
-    /// classic off-by-one (`<=` where `<` belongs), letting one too many
-    /// ops share a class-slot.
-    pub static RESERVATION_SLACK: AtomicU32 = AtomicU32::new(0);
-}
-
-#[cfg(feature = "mutation-hooks")]
-#[inline]
-fn reservation_slack() -> u32 {
-    hooks::RESERVATION_SLACK.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-#[cfg(not(feature = "mutation-hooks"))]
-#[inline]
-fn reservation_slack() -> u32 {
-    0
-}
-
 /// Per-run search state. The graph-shaped vectors are sized once; the
 /// II-shaped tables are resized per rung.
 struct Searcher<'g> {
@@ -329,9 +301,10 @@ impl<'g> Searcher<'g> {
             need.ops += 1;
             suffix[d] = need;
         }
-        // `reservation_slack` is 0 unless a mutation test armed the
-        // test-only hook; see `hooks`.
-        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + reservation_slack()));
+        // The slack is 0 unless a mutation test armed its site on this
+        // thread.
+        let slack = failpoint::offset(sites::EXACT_RESERVATION_SLACK);
+        let cap = OpClass::ALL.map(|c| m.units(c).map(|u| u + slack));
         Searcher {
             g,
             m,

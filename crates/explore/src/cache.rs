@@ -127,7 +127,7 @@ impl PlanSource {
 pub fn compute_plan(g: &Dfg, f: usize) -> FactorPlan {
     match plan_fast(g, f, &Budget::unlimited()) {
         Ok(plan) => plan,
-        Err(e) => panic!("unlimited-budget plan cannot exhaust: {e}"),
+        Err(e) => e.escalate("unlimited-budget plan cannot exhaust"),
     }
 }
 
@@ -384,7 +384,7 @@ impl SweepCache {
     pub fn plan(&self, g: &Dfg, f: usize) -> Arc<FactorPlan> {
         match self.plan_budgeted(g, f, &Budget::unlimited()) {
             Ok((plan, _)) => plan,
-            Err(e) => panic!("unlimited-budget plan cannot exhaust: {e}"),
+            Err(e) => e.escalate("unlimited-budget plan cannot exhaust"),
         }
     }
 

@@ -46,7 +46,7 @@ use cred_codegen::cred::cred_retime_unfold;
 use cred_codegen::unfolded::retime_unfold_program;
 use cred_codegen::DecMode;
 use cred_dfg::{Dfg, Ratio};
-use cred_resilience::{panic_message, Budget, DegradationEvent, Exhausted};
+use cred_resilience::{failpoint, panic_message, Budget, DegradationEvent, Exhausted};
 use cred_retime::span::{
     compact_values, compact_values_wd, min_span_retiming, min_span_retiming_with,
 };
@@ -330,10 +330,13 @@ pub(crate) fn resilient_sweep(
     let mut outcomes: Vec<PointOutcome> = if threads == 1 {
         (1..=max_f).map(solve_one).collect()
     } else {
+        // Workers run under the caller's fault plan, if it armed one.
+        let plan = failpoint::current();
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     s.spawn(|| {
+                        let _plan = plan.clone().map(failpoint::enter);
                         let mut out = Vec::new();
                         loop {
                             let f = next.fetch_add(1, Ordering::Relaxed);

@@ -1,10 +1,9 @@
 //! Chaos-plan integration tests for the explore layer: every fault a
 //! plan can inject at the explore sites must surface as a *typed*
 //! degradation or an isolated per-point failure — never a hang, never a
-//! silently wrong point. Compiled with the `failpoints` feature (see
-//! `[dev-dependencies]`), so the registry is live; each test installs its
-//! plan under the process-global install lock, which also serializes the
-//! tests against each other.
+//! silently wrong point. Each test arms its plan on its own thread; the
+//! requests' sweep workers run under it, and the tests running beside it
+//! never see it.
 //!
 //! Each test runs an `ExploreRequest` through an explicit cache and
 //! reads the per-factor outcomes from `ExploreResponse::report`.
@@ -167,8 +166,8 @@ fn injected_delay_trips_deadline_into_degradation() {
 
 #[test]
 fn clean_run_with_registry_compiled_in_is_unaffected() {
-    // The feature is on but no plan is installed: the request must be
-    // clean and identical to the reference sweep.
+    // Other tests here arm plans, but none on this thread: the request
+    // must be clean and identical to the reference sweep.
     let g = sample();
     let cache = SweepCache::new();
     let report = report(request(&g, 4, 3), &cache);

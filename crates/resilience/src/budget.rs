@@ -83,6 +83,19 @@ impl fmt::Display for Exhausted {
 
 impl std::error::Error for Exhausted {}
 
+impl Exhausted {
+    /// Panic with `{context}: {self}`, for work run under
+    /// [`Budget::unlimited`]: an injected fault unwinds as an injected
+    /// panic, anything else (a bug) as a plain one.
+    pub fn escalate(&self, context: &str) -> ! {
+        let message = format!("{context}: {self}");
+        match self {
+            Exhausted::Injected { .. } => crate::failpoint::escalate(message),
+            _ => panic!("{message}"),
+        }
+    }
+}
+
 /// An execution budget. Construct with [`Budget::unlimited`] and tighten
 /// with the `with_*` builders; pass by reference into budgeted APIs.
 ///
@@ -286,5 +299,21 @@ mod tests {
         assert!(Exhausted::Injected { site: "x.y" }
             .to_string()
             .contains("x.y"));
+    }
+
+    #[test]
+    fn only_injected_exhaustion_escalates_as_an_injected_panic() {
+        use crate::failpoint::InjectedPanic;
+        let escalate =
+            |e: Exhausted| std::panic::catch_unwind(move || e.escalate("ctx")).unwrap_err();
+        let injected = escalate(Exhausted::Injected { site: "x.y" });
+        assert!(injected.is::<InjectedPanic>());
+        assert_eq!(
+            crate::panic_message(injected.as_ref()),
+            "ctx: fault injected at x.y"
+        );
+        let plain = escalate(Exhausted::Cancelled);
+        assert!(!plain.is::<InjectedPanic>());
+        assert_eq!(crate::panic_message(plain.as_ref()), "ctx: cancelled");
     }
 }

@@ -1,28 +1,34 @@
 //! Deterministic fail points (`fail-rs` style, vendored and minimal).
 //!
 //! Library crates mark interesting spots in their hot paths with
-//! [`hit`] / [`hit_infallible`] under a **named site**. In a normal build
-//! the calls compile to an inlined `Ok(())` — the `failpoints` cargo
-//! feature is off and no registry exists. With the feature on (enabled by
-//! `cred-verify` for the chaos harness and through it by the CLI), a
-//! [`ChaosPlan`] can be [`install`]ed that trips chosen sites with one of
+//! [`hit`] / [`hit_infallible`] under a **named site**. A [`ChaosPlan`]
+//! [`install`]ed on a thread trips chosen sites on that thread with one of
 //! three [`FaultAction`]s:
 //!
-//! * `Panic` — unwind from the site (tests worker isolation and lock
-//!   poisoning);
+//! * `Panic` — unwind from the site with an [`InjectedPanic`] (tests
+//!   worker isolation and lock poisoning);
 //! * `Delay` — sleep briefly (tests deadlines and the absence of hangs);
 //! * `Error` — surface a typed [`InjectedFault`] through the site's error
 //!   channel (tests the degradation ladder). Sites without an error
 //!   channel use [`hit_infallible`], which escalates `Error` to a panic.
 //!
+//! A fourth action, `Offset`, is read only by [`offset`]: it lets a
+//! mutation test shift a number the code relies on.
+//!
 //! Plans are generated deterministically from a seed
 //! ([`ChaosPlan::sample`]), so a failing chaos case reproduces from its
-//! `(seed, case index)` alone. Installation is process-global and
-//! serialized: [`install`] holds an exclusive guard for the plan's
-//! lifetime, so concurrent tests cannot interleave plans.
+//! `(seed, case index)` alone. A plan is scoped to the thread that arms
+//! it: other threads never see it, so a test injecting faults cannot
+//! touch one running beside it. A thread that fans work out to helpers
+//! hands them its plan with [`current`] and [`enter`]. While no plan is
+//! armed anywhere in the process, a site costs one relaxed atomic load.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// What an armed fail point does when execution reaches it.
@@ -34,6 +40,8 @@ pub enum FaultAction {
     Delay(Duration),
     /// Return a typed [`InjectedFault`] from [`hit`].
     Error,
+    /// Make [`offset`] return this value ([`hit`] ignores it).
+    Offset(u32),
 }
 
 impl fmt::Display for FaultAction {
@@ -42,6 +50,7 @@ impl fmt::Display for FaultAction {
             FaultAction::Panic => write!(f, "panic"),
             FaultAction::Delay(d) => write!(f, "delay {d:?}"),
             FaultAction::Error => write!(f, "error"),
+            FaultAction::Offset(n) => write!(f, "offset {n}"),
         }
     }
 }
@@ -61,6 +70,16 @@ impl fmt::Display for InjectedFault {
 }
 
 impl std::error::Error for InjectedFault {}
+
+/// The payload (the rendered message) of every panic an injected fault
+/// raises. The panic hook that [`install`] sets up mutes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectedPanic(pub String);
+
+/// Unwind with an [`InjectedPanic`] carrying `message`.
+pub(crate) fn escalate(message: String) -> ! {
+    std::panic::panic_any(InjectedPanic(message))
+}
 
 /// The catalog of named sites threaded through the workspace. A site not
 /// in this list can still be tripped by name; the catalog is what
@@ -92,7 +111,14 @@ pub mod sites {
     /// constrained scheduler (`cred-exact`).
     pub const EXACT_BRANCH: &str = "exact.branch";
 
-    /// Every site above, for plan sampling and documentation.
+    /// Read once per exact search (`cred-exact`): an `Offset(n)` action
+    /// makes the reservation check believe every capped class has `n`
+    /// more units than the machine declares. A mutation-test site, not in
+    /// [`ALL`], so chaos plans never arm it.
+    pub const EXACT_RESERVATION_SLACK: &str = "exact.reservation_slack";
+
+    /// Every site above but [`EXACT_RESERVATION_SLACK`], for plan
+    /// sampling and documentation.
     pub const ALL: &[&str] = &[
         RETIME_SPFA,
         RETIME_MIN_PERIOD,
@@ -131,24 +157,15 @@ impl ChaosPlan {
         self.actions.get(site)
     }
 
-    /// Number of armed sites.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when no site is armed.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// Armed `(site, action)` pairs in site-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FaultAction)> {
         self.actions.iter().map(|(s, a)| (s.as_str(), a))
     }
 
     /// Draw a random plan: each site in `catalog` is armed independently
-    /// with probability `trip_percent`/100, with a uniformly chosen
-    /// action (delays are 1..=`max_delay_ms` ms). Pure in `seed`.
+    /// with probability `trip_percent`/100, with a uniformly chosen panic,
+    /// delay or error action (delays are 1..=`max_delay_ms` ms). Pure in
+    /// `seed`.
     pub fn sample(seed: u64, catalog: &[&str], trip_percent: u32, max_delay_ms: u64) -> Self {
         let mut state = seed;
         let mut next = move || -> u64 {
@@ -175,111 +192,94 @@ impl ChaosPlan {
     }
 }
 
-#[cfg(feature = "failpoints")]
-mod registry {
-    use super::{ChaosPlan, FaultAction, InjectedFault};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+/// Guards alive in the process that arm a plan. Zero in every run that
+/// injects nothing, which keeps each site to one relaxed load. `Relaxed`
+/// is enough: a thread only reads its own plan, and it armed that plan
+/// with its own earlier increment.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-    /// Fast-path flag: `hit` is a single relaxed load unless a plan is
-    /// installed.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    /// The installed plan plus the log of sites that actually fired.
-    static STATE: Mutex<State> = Mutex::new(State {
-        plan: None,
-        fired: Vec::new(),
-    });
-    /// Serializes installations: the guard of the current plan holds this
-    /// lock, so two tests (or threads) cannot interleave plans.
-    static INSTALL: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// The plan armed on this thread.
+    static PLAN: RefCell<Option<Arc<ChaosPlan>>> = const { RefCell::new(None) };
+}
 
-    struct State {
-        plan: Option<ChaosPlan>,
-        fired: Vec<(String, FaultAction)>,
-    }
+/// Arms a plan on its thread; dropping it restores the plan that thread
+/// had before. Not `Send`: it must drop where it was made.
+#[must_use = "the plan is disarmed when the guard drops"]
+pub struct ChaosGuard {
+    prev: Option<Arc<ChaosPlan>>,
+    _thread: PhantomData<*const ()>,
+}
 
-    fn state() -> MutexGuard<'static, State> {
-        // A panicking fail point cannot poison STATE (panics are raised
-        // after the guard is dropped), but be tolerant anyway.
-        STATE.lock().unwrap_or_else(|p| {
-            STATE.clear_poison();
-            p.into_inner()
-        })
-    }
-
-    /// Exclusive handle to the installed plan; dropping it disarms every
-    /// site and releases the installation lock.
-    pub struct ChaosGuard {
-        _install: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for ChaosGuard {
-        fn drop(&mut self) {
-            ACTIVE.store(false, Ordering::SeqCst);
-            state().plan = None;
-        }
-    }
-
-    /// Install `plan` process-wide until the returned guard drops.
-    pub fn install(plan: ChaosPlan) -> ChaosGuard {
-        let install = INSTALL.lock().unwrap_or_else(|p| {
-            INSTALL.clear_poison();
-            p.into_inner()
-        });
-        {
-            let mut st = state();
-            st.plan = Some(plan);
-            st.fired.clear();
-        }
-        ACTIVE.store(true, Ordering::SeqCst);
-        ChaosGuard { _install: install }
-    }
-
-    /// Sites that fired since the last [`install`], in firing order.
-    pub fn take_fired() -> Vec<(String, FaultAction)> {
-        std::mem::take(&mut state().fired)
-    }
-
-    pub(super) fn consult(site: &'static str) -> Result<(), InjectedFault> {
-        if !ACTIVE.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let action = {
-            let mut st = state();
-            let Some(action) = st.plan.as_ref().and_then(|p| p.action_for(site)).cloned() else {
-                return Ok(());
-            };
-            st.fired.push((site.to_string(), action.clone()));
-            action
-        };
-        match action {
-            FaultAction::Panic => panic!("fail point '{site}': injected panic"),
-            FaultAction::Delay(d) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-            FaultAction::Error => Err(InjectedFault { site }),
-        }
+impl Drop for ChaosGuard {
+    fn drop(&mut self) {
+        PLAN.with(|p| *p.borrow_mut() = self.prev.take());
+        ARMED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-#[cfg(feature = "failpoints")]
-pub use registry::{install, take_fired, ChaosGuard};
+/// Arm `plan` on the calling thread until the returned guard drops.
+pub fn install(plan: ChaosPlan) -> ChaosGuard {
+    enter(Arc::new(plan))
+}
 
-/// Reach the named site. Fires the installed plan's action, if any:
-/// `Err(InjectedFault)` for `Error`, a panic for `Panic`, a sleep for
-/// `Delay`. Compiles to an inlined `Ok(())` without the `failpoints`
-/// feature.
+/// The plan armed on the calling thread. A thread that fans work out to
+/// helpers passes it to [`enter`] on each helper, so the helpers run
+/// under the same plan.
+pub fn current() -> Option<Arc<ChaosPlan>> {
+    PLAN.with(|p| p.borrow().clone())
+}
+
+/// Arm a shared plan on the calling thread until the returned guard
+/// drops.
+pub fn enter(plan: Arc<ChaosPlan>) -> ChaosGuard {
+    mute_injected_panics();
+    ARMED.fetch_add(1, Ordering::SeqCst);
+    ChaosGuard {
+        prev: PLAN.with(|p| p.replace(Some(plan))),
+        _thread: PhantomData,
+    }
+}
+
+/// Install, once per process, a panic hook that drops [`InjectedPanic`]
+/// payloads (each is expected and caught, and the default hook would
+/// print a backtrace for every one) and forwards every other panic to
+/// the hook it replaces.
+fn mute_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<InjectedPanic>() {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// The action the calling thread's plan arms at `site`: one relaxed load
+/// while no plan is armed anywhere in the process.
+#[inline]
+fn armed_action(site: &str) -> Option<FaultAction> {
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    PLAN.with(|p| p.borrow().as_ref()?.action_for(site).cloned())
+}
+
+/// Reach the named site. Fires the calling thread's plan's action, if
+/// any: `Err(InjectedFault)` for `Error`, an [`InjectedPanic`] for
+/// `Panic`, a sleep for `Delay`.
 #[inline]
 pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
-    #[cfg(feature = "failpoints")]
-    {
-        registry::consult(site)
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        Ok(())
+    match armed_action(site) {
+        Some(FaultAction::Panic) => escalate(format!("fail point '{site}': injected panic")),
+        Some(FaultAction::Delay(d)) => {
+            std::thread::sleep(d);
+            Ok(())
+        }
+        Some(FaultAction::Error) => Err(InjectedFault { site }),
+        Some(FaultAction::Offset(_)) | None => Ok(()),
     }
 }
 
@@ -289,7 +289,19 @@ pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
 #[inline]
 pub fn hit_infallible(site: &'static str) {
     if let Err(f) = hit(site) {
-        panic!("fail point '{site}': {f} (no error channel; escalated)");
+        escalate(format!(
+            "fail point '{site}': {f} (no error channel; escalated)"
+        ));
+    }
+}
+
+/// The `Offset` the calling thread's plan arms at `site`, else 0. Read
+/// by sites that perturb a number instead of failing.
+#[inline]
+pub fn offset(site: &'static str) -> u32 {
+    match armed_action(site) {
+        Some(FaultAction::Offset(n)) => n,
+        _ => 0,
     }
 }
 
@@ -302,9 +314,9 @@ mod tests {
         let a = ChaosPlan::sample(7, sites::ALL, 50, 3);
         let b = ChaosPlan::sample(7, sites::ALL, 50, 3);
         assert_eq!(a, b);
-        assert!(ChaosPlan::sample(1, sites::ALL, 0, 3).is_empty());
+        assert_eq!(ChaosPlan::sample(1, sites::ALL, 0, 3), ChaosPlan::new());
         assert_eq!(
-            ChaosPlan::sample(1, sites::ALL, 100, 3).len(),
+            ChaosPlan::sample(1, sites::ALL, 100, 3).iter().count(),
             sites::ALL.len()
         );
     }
@@ -314,38 +326,84 @@ mod tests {
         let p = ChaosPlan::new()
             .trip("a.b", FaultAction::Error)
             .trip("c.d", FaultAction::Panic);
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.iter().count(), 2);
         assert_eq!(p.action_for("a.b"), Some(&FaultAction::Error));
         assert_eq!(p.action_for("nope"), None);
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn installed_plan_fires_and_disarms_on_drop() {
         {
-            let _g = install(ChaosPlan::new().trip("t.error", FaultAction::Error));
+            let _g = install(
+                ChaosPlan::new()
+                    .trip("t.error", FaultAction::Error)
+                    .trip("t.offset", FaultAction::Offset(3)),
+            );
             assert_eq!(hit("t.error"), Err(InjectedFault { site: "t.error" }));
             assert_eq!(hit("t.other"), Ok(()));
-            let fired = take_fired();
-            assert_eq!(fired.len(), 1);
-            assert_eq!(fired[0].0, "t.error");
+            assert_eq!(hit("t.offset"), Ok(()));
+            assert_eq!(offset("t.offset"), 3);
+            assert_eq!(offset("t.error"), 0);
         }
-        // Guard dropped: site is disarmed again.
+        // Guard dropped: the sites are disarmed again.
         assert_eq!(hit("t.error"), Ok(()));
+        assert_eq!(offset("t.offset"), 0);
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn panic_action_unwinds_with_recognizable_message() {
         let _g = install(ChaosPlan::new().trip("t.panic", FaultAction::Panic));
         let err = std::panic::catch_unwind(|| hit("t.panic")).unwrap_err();
+        assert!(err.is::<InjectedPanic>());
         let msg = crate::panic_message(err.as_ref());
-        assert!(msg.contains("injected panic"), "{msg}");
+        assert_eq!(msg, "fail point 't.panic': injected panic");
+    }
+
+    #[test]
+    fn escalated_error_message_is_unchanged() {
+        let _g = install(ChaosPlan::new().trip("t.escalate", FaultAction::Error));
+        let err = std::panic::catch_unwind(|| hit_infallible("t.escalate")).unwrap_err();
+        assert_eq!(
+            crate::panic_message(err.as_ref()),
+            "fail point 't.escalate': fault injected at t.escalate \
+             (no error channel; escalated)"
+        );
+    }
+
+    #[test]
+    fn plan_stays_on_its_thread_unless_entered() {
+        let _g = install(ChaosPlan::new().trip("t.scoped", FaultAction::Error));
+        let fault = Err(InjectedFault { site: "t.scoped" });
+        assert_eq!(hit("t.scoped"), fault);
+        let plan = current().expect("a plan is armed on this thread");
+        std::thread::scope(|s| {
+            // A spawned thread starts with no plan...
+            s.spawn(|| assert_eq!(hit("t.scoped"), Ok(())));
+            // ...and runs under the spawner's once it enters it.
+            s.spawn(|| {
+                let _entered = enter(plan.clone());
+                assert_eq!(hit("t.scoped"), fault);
+            });
+        });
+        assert_eq!(hit("t.scoped"), fault);
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_plan() {
+        let _outer = install(ChaosPlan::new().trip("t.outer", FaultAction::Error));
+        {
+            let _inner = install(ChaosPlan::new().trip("t.inner", FaultAction::Error));
+            assert_eq!(hit("t.outer"), Ok(()));
+            assert!(hit("t.inner").is_err());
+        }
+        assert!(hit("t.outer").is_err());
+        assert_eq!(hit("t.inner"), Ok(()));
     }
 
     #[test]
     fn uninstalled_sites_are_free() {
         assert_eq!(hit("never.installed"), Ok(()));
         hit_infallible("never.installed");
+        assert_eq!(offset("never.installed"), 0);
     }
 }

@@ -19,10 +19,10 @@
 //!   ladder in `cred-explore` falls from the warm-started SPFA solver to
 //!   the dense Bellman–Ford reference solver). Degradations are reported,
 //!   never silent.
-//! * [`failpoint`] — a deterministic, feature-gated fail-point framework
-//!   (`fail-rs` style): named sites in retime/explore/codegen/vm that a
-//!   seeded [`failpoint::ChaosPlan`] can trip with a panic, a delay, or a
-//!   typed error. The chaos harness in `cred-verify` replays the
+//! * [`failpoint`] — a deterministic fail-point framework (`fail-rs`
+//!   style): named sites in retime/explore/codegen/vm/exact that a seeded
+//!   [`failpoint::ChaosPlan`], armed on one thread, can trip with a
+//!   panic, a delay, or a typed error. The chaos harness in `cred-verify` replays the
 //!   differential oracle under random plans and asserts that every
 //!   injected fault surfaces as a typed degradation or an isolated
 //!   failure — no hangs, no silent corruption.
@@ -79,6 +79,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(p) = payload.downcast_ref::<failpoint::InjectedPanic>() {
+        p.0.clone()
     } else {
         "non-string panic payload".to_string()
     }

@@ -606,7 +606,7 @@ impl<'a> RetimeSolver<'a> {
 /// plan — escalate it to a panic (the chaos harness catches and
 /// classifies those).
 fn unbudgeted<T>(res: Result<T, Exhausted>) -> T {
-    res.unwrap_or_else(|e| panic!("unbudgeted solve interrupted: {e}"))
+    res.unwrap_or_else(|e| e.escalate("unbudgeted solve interrupted"))
 }
 
 #[cfg(test)]

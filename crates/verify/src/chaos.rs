@@ -137,27 +137,14 @@ impl ChaosReport {
 
 /// Run `cfg.cases` chaos cases. Deterministic per seed.
 ///
-/// Requires the `failpoints` feature (always on in this crate); plans are
-/// installed process-globally, so concurrent chaos suites serialize on
-/// the registry's install lock.
+/// Each plan is armed on the calling thread only, so other work running
+/// beside the suite never sees its faults, and several suites may run at
+/// once. Injected panics are caught per case and kept off stderr by the
+/// fail-point panic hook; any other panic still reaches the previous
+/// hook.
 pub fn chaos_suite(cfg: &ChaosConfig) -> ChaosReport {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    // Injected panics are *expected* here and every one is caught; the
-    // default hook would spray a backtrace per isolated fault. Silence it
-    // for the suite's duration (restored by the guard below even if the
-    // harness itself unwinds).
-    type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-    struct HookGuard(Option<PanicHook>);
-    impl Drop for HookGuard {
-        fn drop(&mut self) {
-            if let Some(h) = self.0.take() {
-                std::panic::set_hook(h);
-            }
-        }
-    }
-    let _hook = HookGuard(Some(std::panic::take_hook()));
-    std::panic::set_hook(Box::new(|_| {}));
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut report = ChaosReport::default();
     for i in 0..cfg.cases {

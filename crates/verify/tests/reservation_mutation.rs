@@ -1,34 +1,25 @@
 //! Mutation test for the exact scheduler's reservation tables.
 //!
-//! `cred_exact::hooks::RESERVATION_SLACK` injects an off-by-one into the
-//! solver's per-class conflict check: with slack 1 the search believes
-//! every functional-unit class has one more unit than the machine model
-//! declares, so it packs ops the real machine cannot issue together.
-//! The fifth oracle layer re-validates every schedule with the
-//! *independent* checker in `cred_exact::check` (which never reads the
-//! hook), so the fuzzer must catch the mutant — and the greedy shrinker
-//! must reduce the kill to a handful of nodes, mirroring the PR 3
-//! guard-offset mutation test for the code generators.
+//! Arming the `exact.reservation_slack` fail point with `Offset(1)`
+//! injects an off-by-one into the solver's per-class conflict check: with
+//! slack 1 the search believes every functional-unit class has one more
+//! unit than the machine model declares, so it packs ops the real machine
+//! cannot issue together. The fifth oracle layer re-validates every
+//! schedule with the *independent* checker in `cred_exact::check` (which
+//! never reads the slack), so the fuzzer must catch the mutant — and the
+//! greedy shrinker must reduce the kill to a handful of nodes, mirroring
+//! the guard-offset mutation test for the code generators (`mutation.rs`).
 //!
-//! The hook is a process-global atomic, so this test lives alone in its
-//! own integration-test binary: `cargo test` gives each test file its
-//! own process, and nothing else here can observe the armed mutant.
+//! The plan is armed on this test's thread only, so nothing else in the
+//! process observes the mutant.
 
+use cred_resilience::failpoint::{install, sites, ChaosPlan, FaultAction};
 use cred_verify::{fuzz_suite, FailureKind, FuzzConfig};
-use std::sync::atomic::Ordering;
-
-/// Restore the hook even if an assertion unwinds.
-struct SlackGuard;
-impl Drop for SlackGuard {
-    fn drop(&mut self) {
-        cred_exact::hooks::RESERVATION_SLACK.store(0, Ordering::SeqCst);
-    }
-}
 
 #[test]
 fn reservation_off_by_one_is_caught_and_shrinks_small() {
-    cred_exact::hooks::RESERVATION_SLACK.store(1, Ordering::SeqCst);
-    let _guard = SlackGuard;
+    let _mutant =
+        install(ChaosPlan::new().trip(sites::EXACT_RESERVATION_SLACK, FaultAction::Offset(1)));
 
     let report = fuzz_suite(&FuzzConfig {
         cases: 300,

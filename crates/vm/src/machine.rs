@@ -97,8 +97,8 @@ pub enum ExecError {
         /// Value the recurrence defines.
         expected: i64,
     },
-    /// A fail point injected a fault (chaos testing only; never occurs in
-    /// a build without the `failpoints` feature).
+    /// A fail point injected a fault (chaos testing only; never occurs
+    /// unless a fault plan is armed on the executing thread).
     Injected {
         /// The fail-point site that fired.
         site: &'static str,
